@@ -5,7 +5,10 @@ its own fresh :class:`HybridMemorySystem`, so the files are mutually
 independent and embarrassingly parallel.  This module fans them across a
 ``concurrent.futures.ProcessPoolExecutor`` (one pytest subprocess per
 file -- full isolation, no shared interpreter state) and reports
-per-file wall time plus the aggregate speedup over serial execution.
+per-file wall and CPU time plus the aggregate parallel speedup: the
+children's summed CPU seconds over the suite's wall time.  (Summed
+per-file *wall* time would overstate it: on an oversubscribed machine
+each child's wall time includes the time it waited for a core.)
 
 Entry points::
 
@@ -18,6 +21,7 @@ Entry points::
 import argparse
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -33,12 +37,22 @@ def discover(bench_dir: pathlib.Path, match: str = "") -> List[str]:
     return names
 
 
-def run_one(bench_dir: str, filename: str) -> Tuple[str, int, float, str]:
+def _children_cpu_seconds() -> float:
+    """User + system CPU seconds of this process's reaped children."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def run_one(
+    bench_dir: str, filename: str
+) -> Tuple[str, int, float, float, str]:
     """Run one benchmark file in a pytest subprocess.
 
     Top-level (picklable) so a ``ProcessPoolExecutor`` can ship it to a
-    worker.  Returns ``(filename, returncode, wall_seconds, tail)``
-    where ``tail`` is the last part of captured output for diagnostics.
+    worker.  Returns ``(filename, returncode, wall_seconds, cpu_seconds,
+    tail)``: ``cpu_seconds`` is the child's user + system CPU time (the
+    ``RUSAGE_CHILDREN`` delta around the run), and ``tail`` is the last
+    part of captured output for diagnostics.
     """
     directory = pathlib.Path(bench_dir)
     src = str(directory.parent / "src")
@@ -46,6 +60,7 @@ def run_one(bench_dir: str, filename: str) -> Tuple[str, int, float, str]:
     env["PYTHONPATH"] = (
         src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     )
+    cpu0 = _children_cpu_seconds()
     t0 = time.perf_counter()
     proc = subprocess.run(
         [
@@ -63,8 +78,9 @@ def run_one(bench_dir: str, filename: str) -> Tuple[str, int, float, str]:
         cwd=str(directory.parent),
     )
     wall = time.perf_counter() - t0
+    cpu = _children_cpu_seconds() - cpu0
     tail = (proc.stdout[-2000:] + proc.stderr[-2000:]) if proc.returncode else ""
-    return filename, proc.returncode, wall, tail
+    return filename, proc.returncode, wall, cpu, tail
 
 
 def run_suite(
@@ -72,9 +88,10 @@ def run_suite(
 ) -> Tuple[int, float, float]:
     """Fan the suite across ``jobs`` workers.
 
-    Returns ``(failures, wall_seconds, serial_seconds)`` where
-    ``serial_seconds`` is the sum of per-file times (what a serial run
-    would have cost, ignoring interpreter startup savings).
+    Returns ``(failures, wall_seconds, cpu_seconds)`` where
+    ``cpu_seconds`` is the children's summed CPU time; the printed
+    parallel speedup is ``cpu_seconds / wall_seconds``, which cannot
+    exceed the number of cores the children actually ran on.
     """
     names = discover(bench_dir, match)
     if not names:
@@ -83,27 +100,27 @@ def run_suite(
     jobs = max(1, min(jobs, len(names)))
     print(f"regenerating {len(names)} artifacts with {jobs} worker(s)")
     failures = 0
-    serial = 0.0
+    cpu_total = 0.0
     t0 = time.perf_counter()
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = {
             pool.submit(run_one, str(bench_dir), name): name for name in names
         }
         for future in as_completed(futures):
-            filename, code, wall, tail = future.result()
-            serial += wall
+            filename, code, wall, cpu, tail = future.result()
+            cpu_total += cpu
             status = "ok" if code == 0 else f"FAIL rc={code}"
-            print(f"  {filename:<40} {wall:7.2f}s  {status}")
+            print(f"  {filename:<40} {wall:7.2f}s wall {cpu:7.2f}s cpu  {status}")
             if code != 0:
                 failures += 1
                 if tail.strip():
                     print(tail)
     total = time.perf_counter() - t0
     print(
-        f"done in {total:.2f}s wall ({serial:.2f}s of benchmark work, "
-        f"{serial / total:.2f}x parallel speedup); {failures} failure(s)"
+        f"done in {total:.2f}s wall ({cpu_total:.2f}s of benchmark CPU, "
+        f"{cpu_total / total:.2f}x parallel speedup); {failures} failure(s)"
     )
-    return failures, total, serial
+    return failures, total, cpu_total
 
 
 def default_bench_dir() -> pathlib.Path:

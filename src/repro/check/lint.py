@@ -20,6 +20,9 @@ VOC001    error     stall-cause / drop-reason string literals outside the
                     closed vocabularies in ``repro.obs.events``
 STAT001   error     ``stats.add/set/max`` keys whose family is not
                     registered in ``repro.sim.stats.KEY_FAMILIES``
+CLK001    error     assignment to an attribute named ``now`` outside
+                    ``repro/sim/clock.py`` -- ``SimClock.advance`` and
+                    ``advance_to`` are the clock's only writers
 ========  ========  =====================================================
 
 Suppression is explicit, never silent:
@@ -77,11 +80,16 @@ RULES: Dict[str, Rule] = {
         Rule("STAT001", SEV_ERROR,
              "stats key family not registered in "
              "repro.sim.stats.KEY_FAMILIES"),
+        Rule("CLK001", SEV_ERROR,
+             "assignment to `.now` outside repro.sim.clock; move the "
+             "clock with advance()/advance_to()"),
     )
 }
 
 #: Files exempt from DET003: the designated entropy seam itself.
 _ENTROPY_SEAM = ("repro/sim/rng.py",)
+#: Files exempt from CLK001: the clock, whose methods write ``now``.
+_CLOCK_SEAM = ("repro/sim/clock.py",)
 
 # Dotted-call suffixes that read the host clock.
 _WALLCLOCK_SUFFIXES = {
@@ -158,6 +166,7 @@ class _LintVisitor(ast.NodeVisitor):
         self.lines = lines
         self.findings: List[Finding] = []
         self.entropy_exempt = any(relpath.endswith(s) for s in _ENTROPY_SEAM)
+        self.clock_exempt = any(relpath.endswith(s) for s in _CLOCK_SEAM)
         #: Local names bound by ``from <mod> import <name>`` to a
         #: flagged symbol, mapped to the rule they trigger when called.
         self.flagged_names: Dict[str, str] = {}
@@ -316,6 +325,38 @@ class _LintVisitor(ast.NodeVisitor):
                 f"stats family {family!r} is not registered in "
                 "repro.sim.stats.KEY_FAMILIES",
             )
+
+    # --------------------------------------------------------- assignments
+
+    def _check_clock_write(self, target) -> None:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                self._check_clock_write(element)
+        elif isinstance(target, ast.Starred):
+            self._check_clock_write(target.value)
+        elif (
+            isinstance(target, ast.Attribute)
+            and target.attr == "now"
+            and not self.clock_exempt
+        ):
+            self.flag(
+                "CLK001", target,
+                "assignment to `.now`; the simulated clock moves only "
+                "through SimClock.advance/advance_to",
+            )
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for target in node.targets:
+            self._check_clock_write(target)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._check_clock_write(node.target)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._check_clock_write(node.target)
+        self.generic_visit(node)
 
     # ----------------------------------------------------- other contexts
 

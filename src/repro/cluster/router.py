@@ -132,9 +132,20 @@ class Cluster:
                 yield shard.system
 
     def settle_all(self) -> None:
-        """Apply every shard's background effects due at the current time."""
-        for system in self._systems():
-            system.executor.settle()
+        """Apply every shard's background effects due at the current time.
+
+        Replicated shards settle through their group (every live member
+        in order).  An executor whose earliest pending job is not yet
+        due is skipped: its settle would apply nothing.
+        """
+        for shard in self.shards:
+            if shard.group is not None:
+                shard.group.settle()
+                continue
+            executor = shard.system.executor
+            heap = executor._heap
+            if heap and heap[0][0] <= executor.clock.now:
+                executor.settle()
 
     def quiesce(self) -> float:
         """Drain background work on every shard; returns the final time.

@@ -143,15 +143,15 @@ class KVStore(ABC):
         starts: List[float] = []
         durs: List[float] = []
         for key in keys:
-            if heap and heap[0][0] <= clock._now:
+            if heap and heap[0][0] <= clock.now:
                 if settle():
                     lookup = self._batch_lookup() or fallback
             if race is not None:
                 race.op("get", reads=_MEMTABLE_REGION)
-            start = clock._now
+            start = clock.now
             value, seconds = lookup(key)
             clock.advance(seconds)
-            now = clock._now
+            now = clock.now
             latency = now - start
             record("get", now, latency)
             results.append((value, latency))
@@ -273,15 +273,15 @@ class KVStore(ABC):
         durs: List[float] = []
         user_bytes = 0
         for key, value, value_bytes, key_len in ops:
-            if heap and heap[0][0] <= clock._now:
+            if heap and heap[0][0] <= clock.now:
                 settle()
             if race is not None:
                 race.op(kind, writes=_MEMTABLE_REGION)
-            start = clock._now
+            start = clock.now
             self.seq += 1
             seconds = put_(key, self.seq, value, value_bytes)
             clock.advance(seconds)
-            now = clock._now
+            now = clock.now
             latency = now - start
             record(kind, now, latency)
             latencies.append(latency)

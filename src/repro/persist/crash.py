@@ -83,6 +83,23 @@ class CrashInjector:
         return self._hits.get(point, 0)
 
 
+class _PassiveInjector(CrashInjector):
+    """An injector that can never fire: reaching a point does nothing.
+
+    Shared by every store built without an injector, so it keeps no hit
+    counts (they would grow without bound and tell no test anything) and
+    refuses to be armed (one armed point would crash every such store).
+    """
+
+    def arm(self, point: str, after_hits: int = 1) -> None:
+        raise RuntimeError("the shared passive injector cannot be armed")
+
+    rearm = arm
+
+    def reach(self, point: str) -> None:
+        pass
+
+
 #: A default injector with nothing armed, shared by stores that were not
-#: given one explicitly (reaching points on it is a cheap no-op).
-PASSIVE_INJECTOR = CrashInjector()
+#: given one explicitly (reaching points on it is a no-op).
+PASSIVE_INJECTOR = _PassiveInjector()

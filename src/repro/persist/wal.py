@@ -272,9 +272,19 @@ class WriteAheadLog:
         """Intact records with ``record.seq > seq``, in append order.
 
         The replication layer's shipping cursor: the leader's group pulls
-        fresh frames with this after every acknowledged operation.
+        fresh frames with this after every acknowledged operation.  It
+        walks back from the tail only as far as the fresh records reach,
+        so a call costs O(fresh), not O(retained).  That relies on the
+        log's seqs ascending in append order, which holds because a
+        store allocates seqs monotonically (recovery resumes past the
+        replayed maximum) and a follower appends the group log's
+        strictly ascending seqs in log order.
         """
-        return [r for r in self._records if r.seq > seq and not r.torn]
+        records = self._records
+        start = len(records)
+        while start and records[start - 1].seq > seq:
+            start -= 1
+        return [r for r in records[start:] if not r.torn]
 
     @property
     def record_count(self) -> int:

@@ -300,10 +300,19 @@ class ReplicaGroup:
 
     # ------------------------------------------------------------- plumbing
 
-    def _settle_members(self) -> None:
+    def settle(self) -> None:
+        """Apply every live member's background effects due now.
+
+        Members settle in order, each at the current instant; a member
+        whose earliest pending job is not yet due is skipped, because
+        its settle would apply nothing.
+        """
         for member in self.members:
             if member.alive:
-                member.system.executor.settle()
+                executor = member.system.executor
+                heap = executor._heap
+                if heap and heap[0][0] <= executor.clock.now:
+                    executor.settle()
 
     def _next_completion(self) -> Optional[float]:
         deadline = None
@@ -327,7 +336,7 @@ class ReplicaGroup:
                 "no pending work on any live member"
             )
         self.clock.advance_to(deadline)
-        self._settle_members()
+        self.settle()
 
     def _await_leader(self) -> float:
         """Block (advance simulated time) until the group has a leader."""
@@ -351,7 +360,7 @@ class ReplicaGroup:
         return self._write("delete", key, None, session)
 
     def _write(self, kind: str, key: bytes, value, session) -> float:
-        self._settle_members()
+        self.settle()
         self._await_leader()
         self.crash.reach("repl.put")
         leader = self.members[self.leader_idx]
@@ -464,7 +473,9 @@ class ReplicaGroup:
         start = follower.shipped_lsn
         end = min(len(self.log), start + self.config.ship_batch)
         frames = self.log[start:end]
-        total = sum(r.frame_bytes for r in frames)
+        total = 0
+        for record in frames:
+            total += record.frame_bytes
         seconds = follower.link.write(total, sequential=True)
         self.crash.reach("repl.ship")
         epoch = self.epoch
@@ -480,7 +491,7 @@ class ReplicaGroup:
             follower.ship_worker,
             seconds,
             delivered,
-            name=f"repl-ship-g{self.group_id}-r{follower.replica_id}",
+            name=follower.ship_worker.name,
             meta={
                 "cat": CAT_REPL,
                 "lsn": end,
@@ -567,7 +578,7 @@ class ReplicaGroup:
             follower.apply_worker,
             seconds,
             applied,
-            name=f"repl-apply-g{self.group_id}-r{follower.replica_id}",
+            name=follower.apply_worker.name,
             meta={
                 "cat": CAT_REPL,
                 "lsn": end_lsn,
@@ -598,7 +609,7 @@ class ReplicaGroup:
         self, key: bytes, session: Optional[Session] = None
     ) -> Tuple[Optional[object], float]:
         """Policy-routed lookup; returns ``(value_or_None, latency)``."""
-        self._settle_members()
+        self.settle()
         policy = self.config.read_policy
         if policy == READ_LEADER:
             self._await_leader()
@@ -631,7 +642,7 @@ class ReplicaGroup:
             if deadline is None:
                 return False
             self.clock.advance_to(deadline)
-            self._settle_members()
+            self.settle()
         if not follower.alive:
             return False
         waited = self.clock.now - start
@@ -641,7 +652,7 @@ class ReplicaGroup:
 
     def scan(self, start_key: bytes, count: int):
         """Range query on the leader (linearizable)."""
-        self._settle_members()
+        self.settle()
         self._await_leader()
         return self.members[self.leader_idx].store.scan(start_key, count)
 

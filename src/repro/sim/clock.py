@@ -7,15 +7,19 @@ completion time of the background job being waited on.
 
 
 class SimClock:
-    """A monotonically non-decreasing simulated clock, in seconds."""
+    """A monotonically non-decreasing simulated clock, in seconds.
+
+    ``now`` is a plain attribute -- it is read many times per simulated
+    operation, so it pays no property call.  :meth:`advance` and
+    :meth:`advance_to` are its only writers; the ``CLK001`` lint rule
+    (``repro check``) rejects assignments to ``.now`` anywhere else.
+    """
+
+    __slots__ = ("now",)
 
     def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+        #: Current simulated time in seconds.
+        self.now = float(start)
 
     def advance(self, seconds: float) -> float:
         """Move the clock forward by ``seconds`` and return the new time.
@@ -25,8 +29,8 @@ class SimClock:
         """
         if seconds < 0:
             raise ValueError(f"cannot advance clock by negative time: {seconds}")
-        self._now += seconds
-        return self._now
+        self.now += seconds
+        return self.now
 
     def advance_to(self, deadline: float) -> float:
         """Move the clock to ``deadline`` if it lies in the future.
@@ -35,9 +39,9 @@ class SimClock:
         which is the natural semantics for "wait until job X is done":
         if it already finished, there is nothing to wait for.
         """
-        if deadline > self._now:
-            self._now = deadline
-        return self._now
+        if deadline > self.now:
+            self.now = deadline
+        return self.now
 
     def __repr__(self) -> str:
-        return f"SimClock(now={self._now:.9f})"
+        return f"SimClock(now={self.now:.9f})"

@@ -88,7 +88,9 @@ class Executor:
         self._heap: List = []
         self._tiebreak = itertools.count()
         self._workers = {}
-        self._submit_listeners: List[Callable] = []
+        #: A tuple, rebuilt on add/remove, so submit iterates it without
+        #: copying (a listener may unregister itself mid-iteration).
+        self._submit_listeners: tuple = ()
         #: The attached RaceDetector, or None (race checking off -- the
         #: default).  See ``repro.check.races``; every hook below guards
         #: on this, so the disabled cost is one attribute load per site.
@@ -114,11 +116,13 @@ class Executor:
         accounting): listeners see every job with its precomputed start
         and end times.  They must not mutate the job.
         """
-        self._submit_listeners.append(listener)
+        self._submit_listeners = self._submit_listeners + (listener,)
 
     def remove_submit_listener(self, listener: Callable) -> None:
         """Unregister a listener added with :meth:`add_submit_listener`."""
-        self._submit_listeners.remove(listener)
+        listeners = list(self._submit_listeners)
+        listeners.remove(listener)
+        self._submit_listeners = tuple(listeners)
 
     def submit(
         self,
@@ -148,18 +152,18 @@ class Executor:
         """
         if duration < 0:
             raise ValueError(f"job duration must be >= 0, got {duration}")
-        start = max(worker.busy_until, self.clock.now)
+        now = self.clock.now
+        start = max(worker.busy_until, now)
         if not_before is not None and not_before > start:
             start = not_before
         end = start + duration
         worker.busy_until = end
         worker.total_busy += duration
         worker.jobs_run += 1
-        job = Job(name, worker, start, end, callback, submitted_at=self.clock.now)
+        job = Job(name, worker, start, end, callback, now)
         heapq.heappush(self._heap, (end, next(self._tiebreak), job))
-        if self._submit_listeners:
-            for listener in list(self._submit_listeners):
-                listener(job, meta)
+        for listener in self._submit_listeners:
+            listener(job, meta)
         if self.race is not None:
             self.race.on_submit(job, accesses)
         return job
@@ -172,9 +176,10 @@ class Executor:
         drained too if they also finish within the horizon.
         """
         horizon = self.clock.now if until is None else until
+        heap = self._heap
         applied = 0
-        while self._heap and self._heap[0][0] <= horizon:
-            __, __, job = heapq.heappop(self._heap)
+        while heap and heap[0][0] <= horizon:
+            __, __, job = heapq.heappop(heap)
             if job.cancelled:
                 continue
             if self.race is not None:

@@ -51,25 +51,32 @@ class StatsRegistry:
         self._values: Dict[str, float] = {}
         self.strict = strict
 
-    def _check(self, key: str) -> None:
-        if self.strict:
-            family = key.partition(".")[0]
-            if family not in KEY_FAMILIES:
-                raise KeyError(
-                    f"unknown stats family {family!r} (key {key!r}); "
-                    f"register it in repro.sim.stats.KEY_FAMILIES"
-                )
+    @staticmethod
+    def _check(key: str) -> None:
+        """Reject ``key`` unless its family is in :data:`KEY_FAMILIES`.
+
+        Callers guard on ``self.strict`` first, so a non-strict registry
+        (the default, on every hot path) pays one attribute load.
+        """
+        family = key.partition(".")[0]
+        if family not in KEY_FAMILIES:
+            raise KeyError(
+                f"unknown stats family {family!r} (key {key!r}); "
+                f"register it in repro.sim.stats.KEY_FAMILIES"
+            )
 
     def add(self, key: str, amount: float = 1.0) -> float:
         """Accumulate ``amount`` into ``key`` and return the new total."""
-        self._check(key)
+        if self.strict:
+            self._check(key)
         total = self._values.get(key, 0.0) + amount
         self._values[key] = total
         return total
 
     def set(self, key: str, value: float) -> None:
         """Overwrite ``key`` with ``value``."""
-        self._check(key)
+        if self.strict:
+            self._check(key)
         self._values[key] = float(value)
 
     def get(self, key: str, default: float = 0.0) -> float:
@@ -78,7 +85,8 @@ class StatsRegistry:
 
     def max(self, key: str, value: float) -> float:
         """Keep the running maximum of ``key``."""
-        self._check(key)
+        if self.strict:
+            self._check(key)
         current = self._values.get(key)
         if current is None or value > current:
             self._values[key] = value

@@ -7,6 +7,8 @@ rank so the popular items are spread over the key space, and
 (YCSB workload D).
 """
 
+import functools
+
 from repro.bloom.hashing import fnv1a_64
 from repro.sim.rng import XorShiftRng
 
@@ -41,7 +43,10 @@ class ZipfianGenerator:
         self._eta = (1 - (2.0 / n) ** (1 - theta)) / (1 - self._zeta2 / self._zetan)
 
     @staticmethod
+    @functools.lru_cache(maxsize=64)
     def _zeta(n: int, theta: float) -> float:
+        # O(n) and a pure function of (n, theta): memoized, because the
+        # cluster driver builds a generator per client per run.
         return sum(1.0 / (i ** theta) for i in range(1, n + 1))
 
     def next(self) -> int:

@@ -19,7 +19,8 @@ def _rules(findings):
 
 def test_rule_registry_is_consistent():
     assert set(RULES) == {
-        "DET001", "DET002", "DET003", "ORD001", "VOC001", "STAT001"
+        "DET001", "DET002", "DET003", "ORD001", "VOC001", "STAT001",
+        "CLK001",
     }
     for rule_id, rule in RULES.items():
         assert rule.id == rule_id
@@ -188,6 +189,40 @@ def test_stat001_passes_registered_family_and_dynamic_keys():
         "def f(system, key):\n"
         "    system.stats.add('flush.bytes', 1)\n"
         "    system.stats.add(key, 1)\n"  # fully dynamic: not checkable
+    )
+    assert lint_text(src) == []
+
+
+# ------------------------------------------------------------------ CLK001
+
+
+def test_clk001_flags_assignment_to_now():
+    findings = lint_text("def f(system, t):\n    system.clock.now = t\n")
+    assert _rules(findings) == ["CLK001"]
+    assert findings[0].severity == SEV_ERROR
+    assert findings[0].line == 2
+
+
+def test_clk001_flags_augmented_annotated_and_unpacked_writes():
+    assert _rules(lint_text("clock.now += 1.0\n")) == ["CLK001"]
+    assert _rules(lint_text("clock.now: float = 0.0\n")) == ["CLK001"]
+    assert _rules(lint_text("a, clock.now = 1, 2.0\n")) == ["CLK001"]
+    assert _rules(lint_text("[*clock.now] = [1.0]\n")) == ["CLK001"]
+
+
+def test_clk001_exempts_the_clock_seam():
+    src = "class SimClock:\n    def advance(self, s):\n        self.now += s\n"
+    assert lint_text(src, "src/repro/sim/clock.py") == []
+    assert _rules(lint_text(src, "src/repro/sim/executor.py")) == ["CLK001"]
+
+
+def test_clk001_passes_reads_and_clock_methods():
+    src = (
+        "def f(clock, job):\n"
+        "    now = clock.now\n"
+        "    clock.advance_to(job.end)\n"
+        "    self_now = clock.advance(0.5)\n"
+        "    return now, self_now\n"
     )
     assert lint_text(src) == []
 

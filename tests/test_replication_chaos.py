@@ -8,7 +8,9 @@ from repro.replication import (
     ACK_QUORUM,
     READ_FOLLOWER_EVENTUAL,
     READ_FOLLOWER_RYW,
+    ChaosInjector,
     ChaosSchedule,
+    ReplicationConfig,
     chaos_report_json,
     run_chaos,
 )
@@ -104,3 +106,69 @@ def test_traced_chaos_timelines_resolve_leader_kills(tmp_path):
         if tl["repoint_t_s"] is not None:
             assert tl["winner"] is not None
             assert tl["duration_s"] > 0.0
+
+
+# ------------------------------------------------------- log seq order
+
+
+def _ascending(seqs):
+    return all(a < b for a, b in zip(seqs, seqs[1:]))
+
+
+class _SeqAuditInjector(ChaosInjector):
+    """A chaos injector that audits seq order after every completion.
+
+    The leader's WAL shipping cursor (``WriteAheadLog.records_since``)
+    walks back from the tail while ``seq`` exceeds the cursor, so it is
+    exact only while seqs ascend: in the group log and in every live
+    member's WAL, through kills, elections and restarts.
+    """
+
+    audits = 0
+
+    def maybe_fire(self, completed):
+        fired = super().maybe_fire(completed)
+        for shard in self.router.cluster.shards:
+            group = shard.group
+            assert _ascending([r.seq for r in group.log]), group
+            for member in group.members:
+                if member.alive:
+                    wal = member.store.wal.records_since(0)
+                    assert _ascending([r.seq for r in wal]), member
+        self.audits += 1
+        return fired
+
+
+@pytest.mark.parametrize("seed", [3, 6])  # one and three elections
+def test_group_log_seqs_stay_strictly_ascending_through_failover(seed):
+    from repro.cluster.driver import AdmissionControl, ClientSpec, run_cluster
+    from repro.cluster.router import Cluster, ShardRouter
+
+    cluster = Cluster(
+        "miodb", n_shards=2, scale=SCALE,
+        replication=ReplicationConfig(followers=2, ack_policy=ACK_QUORUM),
+    )
+    router = ShardRouter(cluster)
+    schedule = ChaosSchedule.generate(
+        seed, 2, kills=4, span_ops=400, restart_gap=60
+    )
+    injector = _SeqAuditInjector(router, schedule)
+    client = ClientSpec(
+        n_ops=400, rate_per_s=float("inf"), key_space=256,
+        read_fraction=0.3, value_size=128, seed=seed,
+    )
+    run_cluster(
+        router, [client], admission=AdmissionControl(policy="defer"),
+        chaos=injector,
+    )
+    injector.flush_restarts()
+    cluster.quiesce()
+    assert injector.audits > 0
+    events = [e["event"] for g in cluster.groups for e in g.history]
+    # The schedule really went kill -> election -> restart.
+    assert {"kill", "elect", "restart"} <= set(events)
+    assert any(f["target"] == "leader" for f in injector.fired)
+    for group in cluster.groups:
+        assert _ascending([r.seq for r in group.log])
+        for member in group.members:
+            assert _ascending([r.seq for r in member.store.wal.records_since(0)])

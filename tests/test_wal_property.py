@@ -76,3 +76,54 @@ def test_space_accounting_matches_device(pairs):
     assert device.bytes_in_use == wal.live_bytes
     wal.truncate_through(seq // 2)
     assert device.bytes_in_use == wal.live_bytes
+
+
+# ------------------------------------------------------ shipping cursor
+
+#: One WAL operation: (name, argument).  Seqs are allocated by the test
+#: in ascending order, as a store allocates them.
+wal_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(min_value=0, max_value=16)),
+        st.tuples(st.just("append_batch"), st.integers(min_value=0, max_value=5)),
+        st.tuples(st.just("truncate_through"), st.integers(min_value=-2, max_value=3)),
+        st.tuples(st.just("tear_tail"), st.integers(min_value=0, max_value=3)),
+        st.tuples(st.just("crash_drop_unsynced"), st.just(0)),
+        st.tuples(st.just("advance"), st.floats(min_value=0.0, max_value=3e-4)),
+    ),
+    max_size=50,
+)
+
+
+def _reference_since(wal, seq):
+    """The cursor's definition: a filter over every retained record."""
+    return [r for r in wal._records if r.seq > seq and not r.torn]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["sync", "batch:1", "batch:3", "interval:0.0001"]), wal_ops)
+def test_records_since_matches_the_reference_filter(policy, ops):
+    from repro.sim.clock import SimClock
+
+    clock = SimClock()
+    wal = WriteAheadLog(Device(OPTANE_NVM_PROFILE), fsync_policy=policy, clock=clock)
+    seq = 0
+    for name, arg in ops:
+        if name == "append":
+            seq += 1
+            wal.append(seq, b"k%d" % seq, b"v" * arg, arg)
+        elif name == "append_batch":
+            items = [(seq + i + 1, b"b%d" % (seq + i + 1), b"", 0) for i in range(arg)]
+            seq += arg
+            wal.append_batch(items)
+        elif name == "truncate_through":
+            # Relative to the newest seq: below it, at it, or past it.
+            wal.truncate_through(seq - arg)
+        elif name == "tear_tail":
+            wal.tear_tail(arg)
+        elif name == "crash_drop_unsynced":
+            wal.crash_drop_unsynced()
+        else:
+            clock.advance(arg)
+        for since in range(-1, seq + 2):
+            assert wal.records_since(since) == _reference_since(wal, since)
